@@ -16,7 +16,7 @@
 //          signatures than random on the reference row (the last row) — the
 //          claim that guidance buys breadth, enforced per commit.
 //
-// Baselines live in bench/baselines/t10/ and are diffed by the release-perf
+// Baselines live in bench/baselines/t10/ and are diffed by the release-bench
 // and fuzz-smoke CI jobs:
 //   bench_t10_adversary --table-only
 //   tools/bench_diff.py --baseline-dir bench/baselines/t10 --measured-dir .

@@ -18,7 +18,7 @@
 // set, the min falls back to the heuristic, and the rows come out equal:
 // the gate proves "never worse", the SWMR rows show the win.
 //
-// Baselines live in bench/baselines/t11/ and are diffed by the release-perf
+// Baselines live in bench/baselines/t11/ and are diffed by the release-bench
 // CI job:
 //   bench_t11_footprints --table-only
 //   tools/bench_diff.py --baseline-dir bench/baselines/t11 --measured-dir .

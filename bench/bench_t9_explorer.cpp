@@ -25,7 +25,7 @@
 //         every row — also enforced by the exit code — and the conformance
 //         suite separately proves the violation sets are identical.
 //
-// Baselines live in bench/baselines/t9/ and are diffed by the release-perf
+// Baselines live in bench/baselines/t9/ and are diffed by the release-bench
 // CI job:
 //   bench_t9_explorer --table-only
 //   tools/bench_diff.py --baseline-dir bench/baselines/t9 --measured-dir .

@@ -117,17 +117,6 @@ ScenarioReport run_sharded_scenario(const TimestampFamily& family,
           source.kind == ScheduleSource::Kind::kNativeOS,
       "sharded scenarios run under driver, crash, jitter, or native_os() "
       "sources; '" << source.name << "' is not supported");
-  // With lease stealing a parked combiner is recoverable: a later solo
-  // process exhausts its steal budget and takes the lease. Only the
-  // explicitly wedgeable no-steal config still rejects solo-blocking
-  // drivers up front — under it the wait loop genuinely cannot end.
-  STAMPED_ASSERT_MSG(!source.solo_blocking || spec.shard.allow_steal,
-                     "schedule source '"
-                         << source.name
-                         << "' runs processes solo until they block; with "
-                            "ShardSpec::allow_steal == false a parked "
-                            "combiner holds its lease forever and the "
-                            "flat-combining wait loop never terminates");
   ScenarioReport rep;
   rep.family = family.name;
   rep.schedule = source.name;
@@ -199,21 +188,14 @@ ScenarioReport run_sharded_scenario(const TimestampFamily& family,
   const shard::ShardRunStats st = inst->shard_stats();
   rep.registers_allocated = st.total_registers;
   rep.shards = st.shards;
-  rep.combiner_passes = st.combiner_passes;
-  rep.combined_calls = st.combined_calls;
-  rep.max_batch = st.max_batch;
-  rep.avg_batch = st.avg_batch();
   rep.shard_calls = st.per_shard_calls;
   rep.shard_clients = st.per_shard_clients;
-  rep.lease_steals = st.lease_steals;
-  rep.lease_expiries = st.lease_expiries;
-  rep.claim_losses = st.claim_losses;
   rep.metrics = inst->metrics();
 
   if (checkers.timestamp_property || checkers.per_process_monotonicity) {
     const GenericCallLog composed = inst->composed_calls();
     apply_checkers(composed, checkers, rep);
-    // At-most-once service: the claim protocol's observable consequence.
+    // At-most-once service: every completed call is recorded exactly once.
     // Restarted processes legitimately re-run the same (pid, call_index), so
     // the duplicate check only binds runs without restarts.
     if (rep.restarts == 0) {
@@ -411,7 +393,6 @@ ScheduleSource staggered(int group) {
 ScheduleSource covering_adversary() {
   ScheduleSource src;
   src.name = "covering";
-  src.solo_blocking = true;
   src.drive = [](runtime::ISystem& sys, util::Rng&, std::uint64_t max_steps) {
     // Pause every process at a write to a register no earlier process
     // covers (greedy covering), then release the block write and drain.
@@ -518,13 +499,7 @@ std::string ScenarioReport::summary() const {
        << " executions=" << executions;
   }
   if (shards > 0) {
-    os << " shards=" << shards << " passes=" << combiner_passes
-       << " combined=" << combined_calls << " max_batch=" << max_batch
-       << " avg_batch=" << avg_batch << " cross_pairs=" << cross_shard_pairs;
-    if (lease_steals > 0 || lease_expiries > 0 || claim_losses > 0) {
-      os << " steals=" << lease_steals << " expiries=" << lease_expiries
-         << " claim_losses=" << claim_losses;
-    }
+    os << " shards=" << shards << " cross_pairs=" << cross_shard_pairs;
   }
   for (const auto& [key, value] : metrics) os << ' ' << key << '=' << value;
   os << (ok() ? " OK" : " VIOLATED");

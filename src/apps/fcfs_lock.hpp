@@ -33,6 +33,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/maxscan_longlived.hpp"
@@ -181,10 +183,11 @@ inline std::string check_fcfs(const std::vector<BakeryAcquisition>& log) {
   for (const auto& a : log) {
     for (const auto& b : log) {
       if (a.doorway_end < b.doorway_begin && b.cs_enter < a.cs_enter) {
-        return "p" + std::to_string(a.pid) + " round " +
-               std::to_string(a.round) + " finished its doorway first but p" +
-               std::to_string(b.pid) + " round " + std::to_string(b.round) +
-               " entered the CS earlier";
+        std::ostringstream os;
+        os << "p" << a.pid << " round " << a.round
+           << " finished its doorway first but p" << b.pid << " round "
+           << b.round << " entered the CS earlier";
+        return os.str();
       }
     }
   }

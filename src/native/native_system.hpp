@@ -73,7 +73,6 @@ class NativeSystem {
  public:
   using Ctx = atomicmem::DirectCtx<V>;
   using Program = std::function<runtime::ProcessTask(Ctx&)>;
-  using OpHook = std::function<void(int pid, std::uint64_t my_ops)>;
 
   NativeSystem(int num_registers, const V& initial,
                std::vector<Program> programs)
@@ -85,16 +84,6 @@ class NativeSystem {
   [[nodiscard]] atomicmem::AtomicMemory<V>& memory() { return mem_; }
   [[nodiscard]] int num_processes() const {
     return static_cast<int>(programs_.size());
-  }
-
-  /// Deterministic stall injection for fault tests: the hook runs on the
-  /// worker thread after each of its register ops (pid, that process's op
-  /// count). A hook that blocks models a preempted/crashed thread — exactly
-  /// the adversary the combiner-lease protocol must survive. Install before
-  /// run(); the hook must be safe to call from multiple threads.
-  void set_op_hook(OpHook hook) {
-    STAMPED_ASSERT_MSG(!ran_, "install op hooks before run()");
-    hook_ = std::move(hook);
   }
 
   /// Executes every program to completion on `threads` workers (0 = hardware
@@ -121,7 +110,6 @@ class NativeSystem {
     ctxs.reserve(static_cast<std::size_t>(n));
     for (int p = 0; p < n; ++p) {
       ctxs.push_back(std::make_unique<Ctx>(&mem_, p, &clock_));
-      if (hook_) ctxs.back()->set_op_hook(&hook_);
     }
     std::vector<std::exception_ptr> errors(static_cast<std::size_t>(n));
     std::vector<std::uint64_t> per_thread_calls(
@@ -183,7 +171,6 @@ class NativeSystem {
   atomicmem::AtomicMemory<V> mem_;
   std::vector<Program> programs_;
   std::atomic<std::uint64_t> clock_{0};
-  OpHook hook_;
   bool ran_ = false;
 };
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "adversary/longlived_builder.hpp"
 #include "adversary/oneshot_builder.hpp"
@@ -100,7 +101,9 @@ TEST_P(OneShotBuilderSweep, SimpleAlgorithmReachesTheoremBound) {
 INSTANTIATE_TEST_SUITE_P(Sweep, OneShotBuilderSweep,
                          ::testing::Values(8, 18, 32, 50),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param);
+                           std::string name = "n";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(OneShotBuilder, StepRecordsAreConsistent) {

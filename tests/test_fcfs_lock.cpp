@@ -3,6 +3,7 @@
 // the same under real threads.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <tuple>
 
 #include "apps/fcfs_lock.hpp"
@@ -63,9 +64,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 4, 6), ::testing::Values(1, 3),
                        ::testing::Values(51u, 52u, 53u)),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_r" +
-             std::to_string(std::get<1>(info.param)) + "_seed" +
-             std::to_string(std::get<2>(info.param));
+      std::ostringstream name;
+      name << "n" << std::get<0>(info.param) << "_r" << std::get<1>(info.param)
+           << "_seed" << std::get<2>(info.param);
+      return name.str();
     });
 
 TEST(FcfsLock, HeavyContentionSingleRegisterOfTruth) {

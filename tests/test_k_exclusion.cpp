@@ -1,6 +1,7 @@
 // Tests: FIFO k-exclusion built on the timestamp object (src/apps/).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <tuple>
 
 #include "adversary/longlived_builder.hpp"
@@ -35,9 +36,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(3, 5, 8), ::testing::Values(1, 2, 3),
                        ::testing::Values(81u, 82u)),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_k" +
-             std::to_string(std::get<1>(info.param)) + "_seed" +
-             std::to_string(std::get<2>(info.param));
+      std::ostringstream name;
+      name << "n" << std::get<0>(info.param) << "_k" << std::get<1>(info.param)
+           << "_seed" << std::get<2>(info.param);
+      return name.str();
     });
 
 TEST(KExclusion, KEqualOneIsMutualExclusion) {

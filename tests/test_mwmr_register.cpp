@@ -1,6 +1,7 @@
 // Tests: the MWMR-from-SWMR register construction (src/registers/).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <tuple>
 
 #include "atomicmem/atomic_memory.hpp"
@@ -75,9 +76,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 5, 8), ::testing::Values(1, 4),
                        ::testing::Values(71u, 72u, 73u)),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_r" +
-             std::to_string(std::get<1>(info.param)) + "_seed" +
-             std::to_string(std::get<2>(info.param));
+      std::ostringstream name;
+      name << "n" << std::get<0>(info.param) << "_r" << std::get<1>(info.param)
+           << "_seed" << std::get<2>(info.param);
+      return name.str();
     });
 
 TEST(MwmrRegister, CheckerDetectsStaleRead) {

@@ -1,20 +1,24 @@
 // Tests: the sharded timestamp service (src/shard/) — routing layout,
-// composed-timestamp comparison, the flat-combining batcher, harness
-// integration on both backends, and the cross-shard monotonicity checker
-// (including the planted epoch-dropping mis-composition it must catch).
+// composed-timestamp comparison, one distinct epoch per call, harness
+// integration on both backends and under the covering adversary, and the
+// cross-shard monotonicity checker (including the planted epoch-dropping
+// mis-composition it must catch).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/harness.hpp"
 #include "api/registry.hpp"
 #include "core/timestamp.hpp"
+#include "runtime/scheduler.hpp"
 #include "shard/compose.hpp"
 #include "shard/sharded_instance.hpp"
-#include "util/assert.hpp"
+#include "util/rng.hpp"
 #include "verify/cross_shard.hpp"
 
 namespace {
@@ -85,7 +89,7 @@ TEST(ComposedCompare, EpochDominatesThenShardThenLocal) {
   EXPECT_TRUE(cmp(C{3, 1, 4}, C{3, 1, 5}));
   EXPECT_FALSE(cmp(C{3, 1, 5}, C{3, 1, 4}));
   // Equal epoch, different shards: incomparable both ways (asymmetry holds
-  // vacuously; such pairs are concurrent within one batch window).
+  // vacuously; only the planted drop_epoch bug produces such pairs).
   EXPECT_FALSE(cmp(C{3, 0, 1}, C{3, 1, 2}));
   EXPECT_FALSE(cmp(C{3, 1, 2}, C{3, 0, 1}));
   // Irreflexive.
@@ -156,63 +160,105 @@ TEST(ShardedHarness, PlantedEpochDropIsCaughtAtPinnedSeed) {
 
 TEST(ShardedHarness, AllFamiliesCleanOnSimAcrossShardCounts) {
   // The clean path: every registry family through the sharded service at
-  // shards in {1, 2, 4}, batched and unbatched, static and rehash routing,
-  // full checkers on. Simulator backend, so fully deterministic.
+  // shards in {1, 2, 4}, static and rehash routing, full checkers on.
+  // Simulator backend, so fully deterministic.
   for (const auto& fam : api::registry()) {
     ASSERT_NE(fam.make_sharded, nullptr) << fam.name;
     for (int shards : {1, 2, 4}) {
-      for (const bool batched : {true, false}) {
-        for (const bool rehash : {true, false}) {
-          api::ScenarioSpec spec;
-          spec.n = 6;
-          spec.calls_per_process = fam.max_calls_per_process == 1 ? 1 : 3;
-          spec.shard.shards = shards;
-          spec.shard.batched = batched;
-          spec.shard.rehash_calls = rehash;
-          const auto rep = api::Harness{}.run_scenario(
-              fam, spec, api::seeded_random());
-          EXPECT_TRUE(rep.ok())
-              << fam.name << " shards=" << shards << " batched=" << batched
-              << " rehash=" << rehash << ": " << rep.summary();
-          EXPECT_TRUE(rep.all_finished) << fam.name;
-          EXPECT_EQ(rep.calls,
-                    static_cast<std::uint64_t>(spec.total_calls()))
-              << fam.name;
-          EXPECT_EQ(rep.shards, shards);
-          const std::uint64_t shard_sum = std::accumulate(
-              rep.shard_calls.begin(), rep.shard_calls.end(),
-              std::uint64_t{0});
-          EXPECT_EQ(shard_sum, rep.calls) << fam.name;
-          if (!batched) {
-            EXPECT_EQ(rep.combiner_passes, 0u) << fam.name;
-          }
-        }
+      for (const bool rehash : {true, false}) {
+        api::ScenarioSpec spec;
+        spec.n = 6;
+        spec.calls_per_process = fam.max_calls_per_process == 1 ? 1 : 3;
+        spec.shard.shards = shards;
+        spec.shard.rehash_calls = rehash;
+        const auto rep = api::Harness{}.run_scenario(
+            fam, spec, api::seeded_random());
+        EXPECT_TRUE(rep.ok()) << fam.name << " shards=" << shards
+                              << " rehash=" << rehash << ": "
+                              << rep.summary();
+        EXPECT_TRUE(rep.all_finished) << fam.name;
+        EXPECT_EQ(rep.calls, static_cast<std::uint64_t>(spec.total_calls()))
+            << fam.name;
+        EXPECT_EQ(rep.shards, shards);
+        const std::uint64_t shard_sum = std::accumulate(
+            rep.shard_calls.begin(), rep.shard_calls.end(), std::uint64_t{0});
+        EXPECT_EQ(shard_sum, rep.calls) << fam.name;
       }
     }
   }
 }
 
-TEST(ShardedHarness, BatcherActuallyBatchesUnderConcurrentSchedules) {
-  // Round-robin over 8 clients of one shard: while the first combiner holds
-  // the lock mid-pass, everyone else publishes; the next pass serves them
-  // all at once. The simulator makes this deterministic.
-  api::ScenarioSpec spec;
-  spec.n = 8;
-  spec.calls_per_process = 4;
-  spec.shard.shards = 1;
-  const auto rep = api::Harness{}.run_scenario(api::family("maxscan"), spec,
-                                               api::round_robin());
-  EXPECT_TRUE(rep.ok()) << rep.summary();
-  EXPECT_GT(rep.combiner_passes, 0u);
-  EXPECT_GT(rep.max_batch, 1u) << "no batch larger than 1 formed";
-  EXPECT_EQ(rep.combined_calls,
-            static_cast<std::uint64_t>(spec.total_calls()));
-  EXPECT_GE(rep.avg_batch, 1.0);
+/// Epoch of composed call i, read back from ComposedTs::repr, which renders
+/// "(e<epoch>,s<shard>,<local>)".
+std::uint64_t composed_epoch(const api::GenericCallLog& log, std::size_t i) {
+  const std::string r = log.ts_repr(log.records[i].ts);
+  EXPECT_EQ(r.rfind("(e", 0), 0u) << r;
+  return std::stoull(r.substr(2));
+}
+
+/// Runs `spec` through `fam`'s sharded form (seeded random schedule on the
+/// simulator, 4 threads on native) and returns the number of composed calls
+/// and of distinct epochs among them.
+std::pair<std::size_t, std::size_t> calls_and_distinct_epochs(
+    const api::TimestampFamily& fam, const api::ScenarioSpec& spec) {
+  const auto inst = fam.make_sharded(spec);
+  if (inst->native()) {
+    (void)inst->run_native(4);
+  } else {
+    util::Rng rng(spec.seed);
+    runtime::run_random(inst->system(), rng, std::uint64_t{1} << 24);
+    EXPECT_TRUE(inst->system().all_finished()) << fam.name;
+  }
+  const api::GenericCallLog log = inst->composed_calls();
+  std::set<std::uint64_t> epochs;
+  for (std::size_t i = 0; i < log.records.size(); ++i) {
+    epochs.insert(composed_epoch(log, i));
+  }
+  return {log.records.size(), epochs.size()};
+}
+
+TEST(ShardedHarness, EveryComposedTimestampCarriesADistinctEpoch) {
+  // The argument the composition rests on: each call draws its own epoch by
+  // fetch&add inside its interval, so no two composed timestamps share an
+  // epoch and ComposedCompare's equal-epoch cases are unreachable. Checked
+  // for every family on the simulator and for three on real threads.
+  for (const auto& fam : api::registry()) {
+    for (const auto backend : {api::Backend::kSim, api::Backend::kNative}) {
+      if (backend == api::Backend::kNative && fam.name != "maxscan" &&
+          fam.name != "fetchadd" && fam.name != "sqrt-oneshot") {
+        continue;
+      }
+      api::ScenarioSpec spec;
+      spec.n = 8;
+      spec.calls_per_process = fam.max_calls_per_process == 1 ? 1 : 4;
+      spec.seed = 5;
+      spec.backend = backend;
+      spec.shard.shards = 4;
+      spec.shard.rehash_calls = true;
+      const auto [calls, distinct] = calls_and_distinct_epochs(fam, spec);
+      EXPECT_EQ(calls, static_cast<std::size_t>(spec.total_calls()))
+          << fam.name << " on " << api::backend_name(backend);
+      EXPECT_EQ(distinct, calls)
+          << fam.name << " on " << api::backend_name(backend)
+          << ": two composed timestamps share an epoch";
+    }
+  }
+  // The planted drop_epoch bug collapses every epoch to 0, so the same
+  // count must see exactly one epoch.
+  api::ScenarioSpec dropped;
+  dropped.n = 8;
+  dropped.calls_per_process = 4;
+  dropped.shard.shards = 4;
+  dropped.shard.drop_epoch = true;
+  const auto [calls, distinct] =
+      calls_and_distinct_epochs(api::family("maxscan"), dropped);
+  EXPECT_EQ(calls, 32u);
+  EXPECT_EQ(distinct, 1u);
 }
 
 TEST(ShardedHarness, NativeBackendRunsAndChecksClean) {
-  // Spot check on real threads: batched maxscan and fetchadd, rehash
-  // routing, full checkers on the recorded composed/per-shard histories.
+  // Spot check on real threads: maxscan and fetchadd, rehash routing, full
+  // checkers on the recorded composed/per-shard histories.
   for (const char* name : {"maxscan", "fetchadd"}) {
     api::ScenarioSpec spec;
     spec.n = 8;
@@ -233,47 +279,26 @@ TEST(ShardedHarness, NativeBackendRunsAndChecksClean) {
   }
 }
 
-TEST(ShardedHarness, SoloBlockingSourceRejectedOnlyWithoutStealing) {
-  // covering_adversary parks a client mid-combine while it holds the shard
-  // lease. With allow_steal off that wedges the shard forever, so the
-  // harness must reject the source up front rather than spin out the step
-  // budget...
-  api::ScenarioSpec spec;
-  spec.n = 4;
-  spec.calls_per_process = 2;
-  spec.shard.shards = 2;
-  spec.shard.allow_steal = false;
-  EXPECT_THROW((void)api::Harness{}.run_scenario(
-                   api::family("maxscan"), spec, api::covering_adversary()),
-               stamped::invariant_error);
-
-  // ...while the default lease semantics recover: a later solo process
-  // exhausts its steal budget, steals the parked lease, and the run drains
-  // to a clean, fully-checked completion.
-  spec.shard.allow_steal = true;
-  const auto rep = api::Harness{}.run_scenario(api::family("maxscan"), spec,
-                                               api::covering_adversary());
-  EXPECT_TRUE(rep.ok()) << rep.summary();
-  EXPECT_TRUE(rep.all_finished) << rep.summary();
-  EXPECT_EQ(rep.calls, static_cast<std::uint64_t>(spec.total_calls()));
-}
-
-TEST(ShardedHarness, ZeroSpinBudgetStillTerminates) {
-  // Degenerate native budget: spin_budget = 0 yields on every probe. The
-  // wait loop's self-combine arm never depends on another process, so the
-  // run must still terminate and check clean.
-  api::ScenarioSpec spec;
-  spec.n = 6;
-  spec.calls_per_process = 4;
-  spec.backend = api::Backend::kNative;
-  spec.native_threads = 4;
-  spec.shard.shards = 2;
-  spec.shard.spin_budget = 0;
-  const auto rep = api::Harness{}.run_scenario(api::family("maxscan"), spec,
-                                               api::native_os());
-  EXPECT_TRUE(rep.ok()) << rep.summary();
-  EXPECT_TRUE(rep.all_finished);
-  EXPECT_EQ(rep.calls, static_cast<std::uint64_t>(spec.total_calls()));
+TEST(ShardedHarness, CoveringAdversaryRunsShardedServiceClean) {
+  // covering_adversary runs each client solo until it is poised to write
+  // outside the covered set, parking it there. No sharded call waits on
+  // another client, so the parked clients hold nothing up: the block write
+  // fires, the run drains, and every check comes out clean.
+  for (const char* name : {"maxscan", "sqrt-oneshot"}) {
+    for (const bool rehash : {false, true}) {
+      api::ScenarioSpec spec;
+      spec.n = 6;
+      spec.calls_per_process = 2;
+      spec.shard.shards = 2;
+      spec.shard.rehash_calls = rehash;
+      const auto rep = api::Harness{}.run_scenario(
+          api::family(name), spec, api::covering_adversary());
+      EXPECT_TRUE(rep.ok()) << name << ": " << rep.summary();
+      EXPECT_TRUE(rep.all_finished) << name << ": " << rep.summary();
+      EXPECT_EQ(rep.calls, static_cast<std::uint64_t>(spec.total_calls()))
+          << name;
+    }
+  }
 }
 
 TEST(ShardedHarness, SummaryCarriesShardLine) {

@@ -3,6 +3,7 @@
 // Section 7 growing variant.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <tuple>
 
 #include "core/growing_oneshot.hpp"
@@ -100,8 +101,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 6, 9, 16, 25, 40, 64),
                        ::testing::Values(11u, 12u, 13u, 14u, 15u)),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_seed" +
-             std::to_string(std::get<1>(info.param));
+      std::ostringstream name;
+      name << "n" << std::get<0>(info.param) << "_seed"
+           << std::get<1>(info.param);
+      return name.str();
     });
 
 TEST(SqrtOneShot, WaitFreeStepBound) {
