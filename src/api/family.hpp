@@ -52,35 +52,47 @@ using PairFilter =
 /// Erases a typed record vector to the GenericCallLog the checkers consume.
 /// Shared by the simulated instance (log snapshot) and the native instance
 /// (recorder merge) so both backends feed the checkers through one code path.
+/// Every closure captures one pointer into the shared typed store, small
+/// enough for std::function to hold without a heap allocation.
 template <class Ts, class Cmp>
 [[nodiscard]] GenericCallLog erase_call_log(
     std::vector<runtime::CallRecord<Ts>> records, Cmp cmp,
     PairFilter<Ts> filter = nullptr) {
-  auto typed = std::make_shared<std::vector<runtime::CallRecord<Ts>>>(
-      std::move(records));
+  struct Typed {
+    std::vector<runtime::CallRecord<Ts>> records;
+    Cmp cmp;
+    PairFilter<Ts> filter;
+  };
+  auto typed = std::make_shared<const Typed>(
+      Typed{std::move(records), std::move(cmp), std::move(filter)});
+  const Typed* t = typed.get();
   GenericCallLog g;
-  g.records.reserve(typed->size());
-  for (std::size_t i = 0; i < typed->size(); ++i) {
-    const auto& r = (*typed)[i];
+  g.records.reserve(t->records.size());
+  for (std::size_t i = 0; i < t->records.size(); ++i) {
+    const auto& r = t->records[i];
     g.records.push_back({r.pid, r.call_index, i, r.invoked_at,
                          r.responded_at});
   }
-  g.before = [typed, cmp = std::move(cmp)](std::size_t a, std::size_t b) {
-    return cmp((*typed)[a].ts, (*typed)[b].ts);
+  g.before = [t](std::size_t a, std::size_t b) {
+    return t->cmp(t->records[a].ts, t->records[b].ts);
   };
-  g.ts_repr = [typed](std::size_t i) {
-    return runtime::value_repr((*typed)[i].ts);
+  g.ts_repr = [t](std::size_t i) {
+    return runtime::value_repr(t->records[i].ts);
   };
-  if (filter) {
-    g.obligated = [typed, f = std::move(filter)](const GenericCallRecord& a,
-                                                 const GenericCallRecord& b) {
-      return f(*typed, (*typed)[a.ts], (*typed)[b.ts]);
-    };
-  } else {
-    g.obligated = [](const GenericCallRecord&, const GenericCallRecord&) {
-      return true;
-    };
-  }
+  g.obligated = [t](const GenericCallRecord& a, const GenericCallRecord& b) {
+    return !t->filter ||
+           t->filter(t->records, t->records[a.ts], t->records[b.ts]);
+  };
+  g.check = [t](bool property, bool monotonicity) {
+    using Record = runtime::CallRecord<Ts>;
+    return verify::check_history(
+        t->records, t->cmp,
+        [t](const Record& a, const Record& b) {
+          return !t->filter || t->filter(t->records, a, b);
+        },
+        property, monotonicity);
+  };
+  g.store = std::move(typed);
   return g;
 }
 

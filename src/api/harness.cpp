@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -36,64 +37,21 @@ void fill_footprints(verify::ExploreOptions& opts,
   opts.footprints = analysis::write_footprints(family, spec);
 }
 
-/// A timestamp handle dressed up as a RegisterValue so the typed checkers of
-/// verify/hb_checker.hpp run unchanged over type-erased histories.
-struct OpaqueTs {
-  std::size_t idx = 0;
-  const GenericCallLog* log = nullptr;
-
-  friend bool operator==(const OpaqueTs&, const OpaqueTs&) = default;
-
-  [[nodiscard]] std::string repr() const {
-    return log != nullptr ? log->ts_repr(idx) : "?";
-  }
-};
-
-struct OpaqueCompare {
-  [[nodiscard]] bool operator()(const OpaqueTs& a, const OpaqueTs& b) const {
-    return a.log->before(a.idx, b.idx);
-  }
-};
-
-GenericCallRecord to_generic(const runtime::CallRecord<OpaqueTs>& r) {
-  return {r.pid, r.call_index, r.ts.idx, r.invoked_at, r.responded_at};
-}
-
 /// Applies the enabled checkers to `log`, accumulating into `rep`.
 void apply_checkers(const GenericCallLog& log, const Checkers& checkers,
                     ScenarioReport& rep) {
   if (!checkers.timestamp_property && !checkers.per_process_monotonicity) {
     return;
   }
-  std::vector<runtime::CallRecord<OpaqueTs>> records;
-  records.reserve(log.records.size());
-  for (const auto& r : log.records) {
-    runtime::CallRecord<OpaqueTs> c;
-    c.pid = r.pid;
-    c.call_index = r.call_index;
-    c.ts = OpaqueTs{r.ts, &log};
-    c.invoked_at = r.invoked_at;
-    c.responded_at = r.responded_at;
-    records.push_back(c);
-  }
-  const auto pair_filter = [&log](const runtime::CallRecord<OpaqueTs>& a,
-                                  const runtime::CallRecord<OpaqueTs>& b) {
-    return log.obligated(to_generic(a), to_generic(b));
-  };
-  if (checkers.timestamp_property) {
-    const auto r = verify::check_timestamp_property_filtered(
-        records, OpaqueCompare{}, pair_filter);
-    rep.ordered_pairs += r.ordered_pairs_checked;
-    rep.concurrent_pairs += r.concurrent_pairs;
-    rep.filtered_pairs += r.filtered_pairs;
-    rep.violations.insert(rep.violations.end(), r.violations.begin(),
-                          r.violations.end());
-  }
-  if (checkers.per_process_monotonicity) {
-    const auto r = verify::check_per_process_monotonicity_filtered(
-        records, OpaqueCompare{}, pair_filter);
-    rep.violations.insert(rep.violations.end(), r.violations.begin(),
-                          r.violations.end());
+  verify::HistoryReport r =
+      log.check(checkers.timestamp_property, checkers.per_process_monotonicity);
+  rep.ordered_pairs += r.property.ordered_pairs_checked;
+  rep.concurrent_pairs += r.property.concurrent_pairs;
+  rep.filtered_pairs += r.property.filtered_pairs;
+  for (auto* found : {&r.property.violations, &r.monotonicity.violations}) {
+    rep.violations.insert(rep.violations.end(),
+                          std::make_move_iterator(found->begin()),
+                          std::make_move_iterator(found->end()));
   }
 }
 

@@ -10,11 +10,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "runtime/isystem.hpp"
 #include "util/assert.hpp"
+#include "verify/hb_checker.hpp"
 
 namespace stamped::api {
 
@@ -109,12 +111,19 @@ struct GenericCallRecord {
 /// compare() lifted to handles; `obligated` is the family's pair filter for
 /// the timestamp property (bounded-universe families release ordered pairs
 /// outside their recycling window; unbounded families obligate every pair).
+/// `check(property, monotonicity)` runs verify::check_history over the typed
+/// records with the family's compare and pair filter, so the checkers never
+/// go through the erased handles. `store` owns the typed records every
+/// closure reads; copies of the log share it.
 struct GenericCallLog {
   std::vector<GenericCallRecord> records;
   std::function<bool(std::size_t, std::size_t)> before;
   std::function<std::string(std::size_t)> ts_repr;
   std::function<bool(const GenericCallRecord&, const GenericCallRecord&)>
       obligated;
+  std::function<verify::HistoryReport(bool property, bool monotonicity)>
+      check;
+  std::shared_ptr<const void> store;
 
   [[nodiscard]] std::size_t size() const { return records.size(); }
 };

@@ -1,26 +1,30 @@
 #include "core/bounded_longlived.hpp"
 
-#include <sstream>
+#include <string>
 
 #include "util/math.hpp"
 
 namespace stamped::core {
 
+// Both reprs run on every recorded step or compared label, so they append
+// std::to_string pieces instead of building a std::ostringstream; the text is
+// the same as streaming the integers.
 std::string BoundedLabel::repr() const {
-  std::ostringstream os;
-  os << val << '#' << gen;
-  return os.str();
+  std::string out = std::to_string(val);
+  out += '#';
+  out += std::to_string(gen);
+  return out;
 }
 
 std::string BoundedTimestamp::repr() const {
-  std::ostringstream os;
-  os << '<';
+  std::string out = "<";
   for (std::size_t i = 0; i < comps.size(); ++i) {
-    if (i > 0) os << ' ';
-    os << comps[i];
+    if (i > 0) out += ' ';
+    out += std::to_string(comps[i]);
   }
-  os << ">%" << modulus;
-  return os.str();
+  out += ">%";
+  out += std::to_string(modulus);
+  return out;
 }
 
 int bounded_bits_per_register(std::int32_t modulus) {
@@ -35,8 +39,11 @@ bool bounded_before(const BoundedTimestamp& a, const BoundedTimestamp& b) {
   const std::int32_t w = bounded_window(k);
   bool strict = false;
   for (std::size_t i = 0; i < a.comps.size(); ++i) {
-    const std::int32_t diff =
-        (((b.comps[i] - a.comps[i]) % k) + k) % k;  // (b_i - a_i) mod K
+    // (b_i - a_i) mod K. Labels stay in [0, K), so the difference lies in
+    // (-K, K) and one branch reduces it; anything else takes the % path.
+    std::int32_t diff = b.comps[i] - a.comps[i];
+    if (diff < 0) diff += k;
+    if (diff < 0 || diff >= k) diff = ((diff % k) + k) % k;
     if (diff > w) return false;
     if (diff >= 1) strict = true;
   }

@@ -170,8 +170,10 @@ class NativeSystem {
  private:
   atomicmem::AtomicMemory<V> mem_;
   std::vector<Program> programs_;
-  std::atomic<std::uint64_t> clock_{0};
   bool ran_ = false;
+  // Every register op's fetch&add lands here; its own cache line keeps that
+  // write from invalidating the fields above, which every op reads.
+  alignas(64) std::atomic<std::uint64_t> clock_{0};
 };
 
 }  // namespace stamped::native

@@ -31,20 +31,25 @@ std::uint64_t run_round_robin(ISystem& sys, std::uint64_t max_steps) {
 
 std::uint64_t run_random(ISystem& sys, util::Rng& rng,
                          std::uint64_t max_steps) {
-  std::uint64_t steps = 0;
+  if (max_steps == 0) return 0;  // no step to take: start no process
   const int n = sys.num_processes();
+  // The unfinished processes in ascending pid order. Only the stepped
+  // process runs during a step, so only it can finish: the list is scanned
+  // once, then a pid leaves it right after the step that finished it.
   std::vector<int> live;
   live.reserve(static_cast<std::size_t>(n));
-  while (steps < max_steps) {
-    live.clear();
-    for (int p = 0; p < n; ++p) {
-      if (!sys.finished(p)) live.push_back(p);
-    }
-    if (live.empty()) break;
-    const int pid =
-        live[static_cast<std::size_t>(rng.next_below(live.size()))];
+  for (int p = 0; p < n; ++p) {
+    if (!sys.finished(p)) live.push_back(p);
+  }
+  std::uint64_t steps = 0;
+  while (steps < max_steps && !live.empty()) {
+    const auto slot = static_cast<std::size_t>(rng.next_below(live.size()));
+    const int pid = live[slot];
     sys.step(pid);
     ++steps;
+    if (sys.finished(pid)) {
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(slot));
+    }
   }
   return steps;
 }

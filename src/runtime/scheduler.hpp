@@ -42,7 +42,11 @@ std::uint64_t run_script(ISystem& sys, std::span<const int> schedule);
 std::uint64_t run_round_robin(ISystem& sys, std::uint64_t max_steps);
 
 /// Uniformly random choice among unfinished processes each step, until all
-/// finish or `max_steps`. Returns steps executed.
+/// finish or `max_steps`. Returns steps executed. Every step draws
+/// rng.next_below(live) and takes that position of the unfinished pids in
+/// ascending order. The list is built once (starting every process, in pid
+/// order) and a pid is dropped only after its own step finishes it, so a
+/// step costs O(1) calls into the system instead of n `finished()` calls.
 std::uint64_t run_random(ISystem& sys, util::Rng& rng,
                          std::uint64_t max_steps);
 

@@ -16,6 +16,8 @@
 // per-shard property and monotonicity checks own those pairs).
 #pragma once
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "runtime/history.hpp"
@@ -27,18 +29,39 @@ namespace stamped::verify {
 /// different shards (`shard_of(record)` names the serving shard). Reported
 /// counters: ordered_pairs_checked counts the cross-shard pairs that carried
 /// an obligation; concurrent_pairs stays 0 (same-client calls are sequential
-/// by construction). Quadratic; test-sized histories.
+/// by construction). Only same-client pairs are visited: the calls are
+/// grouped by pid, and each call scans its own group in index order, so the
+/// violations come out ordered by the first call's index, then the second's.
 template <class Ts, class Cmp, class ShardOf>
 HbReport check_cross_shard_monotonicity(
     const std::vector<runtime::CallRecord<Ts>>& records, Cmp cmp,
     ShardOf shard_of) {
   HbReport report;
+  // by_pid lists the indices grouped by pid, ascending within each group;
+  // group[i] is the [begin, end) range of record i's group in by_pid.
+  std::vector<std::size_t> by_pid(records.size());
+  for (std::size_t i = 0; i < by_pid.size(); ++i) by_pid[i] = i;
+  std::stable_sort(by_pid.begin(), by_pid.end(),
+                   [&records](std::size_t a, std::size_t b) {
+                     return records[a].pid < records[b].pid;
+                   });
+  std::vector<std::pair<std::size_t, std::size_t>> group(records.size());
+  for (std::size_t begin = 0; begin < by_pid.size();) {
+    std::size_t end = begin + 1;
+    while (end < by_pid.size() &&
+           records[by_pid[end]].pid == records[by_pid[begin]].pid) {
+      ++end;
+    }
+    for (std::size_t g = begin; g < end; ++g) group[by_pid[g]] = {begin, end};
+    begin = end;
+  }
   for (std::size_t i = 0; i < records.size(); ++i) {
-    for (std::size_t k = 0; k < records.size(); ++k) {
+    for (std::size_t g = group[i].first; g < group[i].second; ++g) {
+      const std::size_t k = by_pid[g];
       if (i == k) continue;
       const auto& a = records[i];
       const auto& b = records[k];
-      if (a.pid != b.pid || !a.happens_before(b)) continue;
+      if (!a.happens_before(b)) continue;
       if (shard_of(a) == shard_of(b)) continue;
       ++report.ordered_pairs_checked;
       if (!cmp(a.ts, b.ts)) {

@@ -5,18 +5,25 @@
 // returns false. This is the *only* requirement of the weak timestamp object;
 // concurrent calls may return arbitrary (even equal) timestamps.
 //
-// The checker takes the CallLog recorded by the programs and verifies the
+// check_history takes the CallLog recorded by the programs and verifies the
 // property over all ordered pairs, plus basic sanity of compare itself
-// (irreflexivity and asymmetry on the returned timestamps).
+// (irreflexivity and asymmetry on the returned timestamps) and per-process
+// monotonicity, in one sort-and-sweep pass over the calls: an O(m log m)
+// sort by invocation stamp, then one visit per unordered pair.
 //
 // Bounded-universe objects (core/bounded_longlived.hpp) satisfy the property
-// only for pairs within their recycling window; the *_filtered variants take
-// a pair predicate selecting the ordered pairs that carry an obligation.
-// Irreflexivity and asymmetry are universe-wide and stay unconditional.
+// only for pairs within their recycling window; the pair filter selects the
+// ordered pairs that carry an obligation. Irreflexivity and asymmetry are
+// universe-wide and stay unconditional.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "runtime/history.hpp"
@@ -61,54 +68,211 @@ std::string describe_call(const runtime::CallRecord<Ts>& r) {
 
 }  // namespace detail
 
-/// Checks the timestamp property on `records` with comparator `cmp`
-/// (cmp(a, b) is the object's compare(a, b)); an ordered pair (a, b) carries
-/// an obligation only when `pair_filter(a, b)` is true. Quadratic in the
-/// number of calls; intended for test-sized histories.
+/// Both reports of one check_history pass.
+struct HistoryReport {
+  HbReport property;      ///< the timestamp property (plus compare sanity)
+  HbReport monotonicity;  ///< per-process monotonicity
+};
+
+namespace detail {
+
+/// One call in check_history's sweep order: its interval, pid and index.
+/// Trivially constructible, so the inline sort buffer costs nothing to set up.
+struct SweepEntry {
+  std::uint64_t invoked_at;
+  std::uint64_t responded_at;
+  std::size_t idx;
+  int pid;
+};
+
+/// A violation plus its place in the report order: `row` is the first
+/// call's index, `col` is 1 + the second call's index (0 for a single-call
+/// check), `slot` orders the checks of one pair.
+struct KeyedViolation {
+  std::size_t row = 0;
+  std::size_t col = 0;
+  int slot = 0;
+  std::string message;
+};
+
+/// Records the violation `what` a `sep` b at (row, col, slot). The message
+/// builders live in these functions so that check_history's pair loop
+/// holds only the stamp tests, the compares and the counters.
+template <class Ts>
+void add_pair_violation(
+    std::vector<KeyedViolation>& found, std::size_t row, std::size_t col,
+    int slot, const char* what, const runtime::CallRecord<Ts>& a,
+    const char* sep, const runtime::CallRecord<Ts>& b) {
+  found.push_back({row, col, slot,
+                   what + describe_call(a) + sep + describe_call(b)});
+}
+
+template <class Ts>
+void add_monotonicity_violation(
+    std::vector<KeyedViolation>& found, std::size_t row, std::size_t col,
+    const runtime::CallRecord<Ts>& a, const runtime::CallRecord<Ts>& b) {
+  std::ostringstream os;
+  os << "process p" << a.pid << " calls " << a.call_index << " and "
+     << b.call_index << " not increasing: !compare("
+     << runtime::value_repr(a.ts) << ", " << runtime::value_repr(b.ts)
+     << ") — " << describe_call(a) << " -> " << describe_call(b);
+  found.push_back({row, col, 0, os.str()});
+}
+
+/// Appends `found` to `out` in (row, col, slot) order.
+inline void append_in_order(std::vector<KeyedViolation>& found,
+                            std::vector<std::string>& out) {
+  std::sort(found.begin(), found.end(),
+            [](const KeyedViolation& a, const KeyedViolation& b) {
+              return std::tie(a.row, a.col, a.slot) <
+                     std::tie(b.row, b.col, b.slot);
+            });
+  for (KeyedViolation& v : found) out.push_back(std::move(v.message));
+}
+
+}  // namespace detail
+
+/// Checks the timestamp property and per-process monotonicity of `records`
+/// in one pass; `property` and `monotonicity` select which reports to fill.
+/// cmp(a, b) is the object's compare(a, b), and an ordered pair (a, b)
+/// carries an obligation only when `pair_filter(a, b)` is true.
+///
+/// Timestamp property: compare is irreflexive on every returned timestamp;
+/// every obligated happens-before pair compares forward and not backward;
+/// no concurrent pair compares both ways. Counters: obligated ordered
+/// pairs, unordered concurrent pairs, and ordered pairs the filter released.
+///
+/// Per-process monotonicity: every obligated happens-before pair of one
+/// process compares forward (a corollary of the property, reported apart
+/// for sharper messages; each message carries both timestamps). Same-pid
+/// pairs are ordered by happens-before, not call_index: a restarted process
+/// (crash/restart adversary) begins a fresh program whose call_index
+/// restarts at 0, yet its post-restart calls still happen after its
+/// pre-crash ones. For crash-free histories the two orders coincide.
+///
+/// The calls are sorted by invocation stamp and each unordered pair is
+/// visited once. When x is invoked no later than y, y can happen before x
+/// only if y responded before it was invoked; for well-formed records the
+/// second of the two stamp comparisons per pair is therefore always false
+/// and predicted, and a malformed pair may come out ordered both ways, as
+/// the relation says. Both reports share the compare result of a
+/// same-process pair. Nothing is inferred by transitivity: every obligated
+/// pair is compared. Cost: an O(m log m) sort plus one visit per pair; no
+/// heap allocation for up to 32 calls while no violation is found.
+/// Violations are reported in index order: by the first call's index, then
+/// the second's, then the check.
 template <class Ts, class Cmp, class PairFilter>
-HbReport check_timestamp_property_filtered(
+HistoryReport check_history(
     const std::vector<runtime::CallRecord<Ts>>& records, Cmp cmp,
-    PairFilter pair_filter) {
-  HbReport report;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    // compare must be irreflexive on every returned timestamp: t < t never.
-    if (cmp(records[i].ts, records[i].ts)) {
-      report.violations.push_back("compare(t,t) true for " +
-                                  detail::describe_call(records[i]));
+    PairFilter pair_filter, bool property, bool monotonicity) {
+  HistoryReport out;
+  if (!property && !monotonicity) return out;
+  const std::size_t m = records.size();
+  constexpr std::size_t kInline = 32;
+  std::array<detail::SweepEntry, kInline> inline_order;
+  std::vector<detail::SweepEntry> heap_order;
+  detail::SweepEntry* order = inline_order.data();
+  if (m > kInline) {
+    heap_order.resize(m);
+    order = heap_order.data();
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    order[i] = {records[i].invoked_at, records[i].responded_at, i,
+                records[i].pid};
+  }
+  std::sort(order, order + m,
+            [](const detail::SweepEntry& a, const detail::SweepEntry& b) {
+              return a.invoked_at < b.invoked_at ||
+                     (a.invoked_at == b.invoked_at && a.idx < b.idx);
+            });
+
+  std::vector<detail::KeyedViolation> prop_found;
+  std::vector<detail::KeyedViolation> mono_found;
+  std::size_t prop_ordered = 0;
+  std::size_t prop_filtered = 0;
+  std::size_t concurrent = 0;
+  std::size_t mono_ordered = 0;
+  std::size_t mono_filtered = 0;
+  // a happens before b.
+  const auto ordered = [&](const detail::SweepEntry& ea,
+                           const detail::SweepEntry& eb) {
+    const bool same_pid = monotonicity && ea.pid == eb.pid;
+    if (!property && !same_pid) return;
+    const auto& a = records[ea.idx];
+    const auto& b = records[eb.idx];
+    if (!pair_filter(a, b)) {
+      prop_filtered += property ? 1 : 0;
+      mono_filtered += same_pid ? 1 : 0;
+      return;
     }
-    for (std::size_t k = 0; k < records.size(); ++k) {
-      if (i == k) continue;
-      const auto& a = records[i];
-      const auto& b = records[k];
-      if (a.happens_before(b)) {
-        if (!pair_filter(a, b)) {
-          ++report.filtered_pairs;
-          continue;
-        }
-        ++report.ordered_pairs_checked;
-        if (!cmp(a.ts, b.ts)) {
-          report.violations.push_back("ordered pair but !compare(t1,t2): " +
-                                      detail::describe_call(a) + " -> " +
-                                      detail::describe_call(b));
-        }
-        if (cmp(b.ts, a.ts)) {
-          report.violations.push_back("ordered pair but compare(t2,t1): " +
-                                      detail::describe_call(a) + " -> " +
-                                      detail::describe_call(b));
-        }
-      } else if (i < k && !b.happens_before(a)) {
-        ++report.concurrent_pairs;
+    const bool forward = cmp(a.ts, b.ts);
+    if (property) {
+      ++prop_ordered;
+      if (!forward) {
+        detail::add_pair_violation(prop_found, ea.idx, eb.idx + 1, 0,
+                                   "ordered pair but !compare(t1,t2): ", a,
+                                   " -> ", b);
+      }
+      if (cmp(b.ts, a.ts)) {
+        detail::add_pair_violation(prop_found, ea.idx, eb.idx + 1, 1,
+                                   "ordered pair but compare(t2,t1): ", a,
+                                   " -> ", b);
+      }
+    }
+    if (same_pid) {
+      ++mono_ordered;
+      if (!forward) {
+        detail::add_monotonicity_violation(mono_found, ea.idx, eb.idx + 1, a,
+                                           b);
+      }
+    }
+  };
+
+  for (std::size_t xi = 0; xi < m; ++xi) {
+    const detail::SweepEntry& x = order[xi];
+    if (property && cmp(records[x.idx].ts, records[x.idx].ts)) {
+      prop_found.push_back({x.idx, 0, 0,
+                            "compare(t,t) true for " +
+                                detail::describe_call(records[x.idx])});
+    }
+    for (std::size_t yi = xi + 1; yi < m; ++yi) {
+      const detail::SweepEntry& y = order[yi];
+      const bool x_first = x.responded_at < y.invoked_at;
+      const bool y_first = y.responded_at < x.invoked_at;
+      if (x_first) ordered(x, y);
+      if (y_first) ordered(y, x);
+      if (!x_first && !y_first && property) {
+        ++concurrent;
         // No ordering requirement, but compare must not claim both
         // directions simultaneously (it is a strict order on values).
+        const std::size_t lo = std::min(x.idx, y.idx);
+        const std::size_t hi = std::max(x.idx, y.idx);
+        const auto& a = records[lo];
+        const auto& b = records[hi];
         if (cmp(a.ts, b.ts) && cmp(b.ts, a.ts)) {
-          report.violations.push_back("compare true both ways: " +
-                                      detail::describe_call(a) + " || " +
-                                      detail::describe_call(b));
+          detail::add_pair_violation(prop_found, lo, hi + 1, 0,
+                                     "compare true both ways: ", a, " || ",
+                                     b);
         }
       }
     }
   }
-  return report;
+  out.property.ordered_pairs_checked = prop_ordered;
+  out.property.filtered_pairs = prop_filtered;
+  out.property.concurrent_pairs = concurrent;
+  out.monotonicity.ordered_pairs_checked = mono_ordered;
+  out.monotonicity.filtered_pairs = mono_filtered;
+  detail::append_in_order(prop_found, out.property.violations);
+  detail::append_in_order(mono_found, out.monotonicity.violations);
+  return out;
+}
+
+/// The timestamp property alone (check_history's property report).
+template <class Ts, class Cmp, class PairFilter>
+HbReport check_timestamp_property_filtered(
+    const std::vector<runtime::CallRecord<Ts>>& records, Cmp cmp,
+    PairFilter pair_filter) {
+  return check_history(records, cmp, pair_filter, true, false).property;
 }
 
 /// The unconditional property: every ordered pair carries an obligation.
@@ -122,45 +286,12 @@ HbReport check_timestamp_property(
       });
 }
 
-/// Additionally checks that consecutive calls by the same process received
-/// increasing timestamps (they are ordered by happens-before, so this is a
-/// corollary of the main property; separated for sharper failure messages).
-/// Collects ALL violations; each message carries both offending timestamps.
-/// `pair_filter` releases pairs from their obligation as above.
-///
-/// Same-pid pairs are ordered by happens-before, not call_index: a restarted
-/// process (crash/restart adversary) begins a fresh program whose call_index
-/// restarts at 0, yet its post-restart calls still happen after its
-/// pre-crash ones — the event stamps, unlike the per-incarnation indices,
-/// survive the crash. For crash-free histories the two orders coincide
-/// (call k responds before call k+1 invokes).
+/// Per-process monotonicity alone (check_history's monotonicity report).
 template <class Ts, class Cmp, class PairFilter>
 HbReport check_per_process_monotonicity_filtered(
     const std::vector<runtime::CallRecord<Ts>>& records, Cmp cmp,
     PairFilter pair_filter) {
-  HbReport report;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    for (std::size_t k = 0; k < records.size(); ++k) {
-      const auto& a = records[i];
-      const auto& b = records[k];
-      if (a.pid != b.pid || i == k || !a.happens_before(b)) continue;
-      if (!pair_filter(a, b)) {
-        ++report.filtered_pairs;
-        continue;
-      }
-      ++report.ordered_pairs_checked;
-      if (!cmp(a.ts, b.ts)) {
-        std::ostringstream os;
-        os << "process p" << a.pid << " calls " << a.call_index << " and "
-           << b.call_index << " not increasing: !compare("
-           << runtime::value_repr(a.ts) << ", " << runtime::value_repr(b.ts)
-           << ") — " << detail::describe_call(a) << " -> "
-           << detail::describe_call(b);
-        report.violations.push_back(os.str());
-      }
-    }
-  }
-  return report;
+  return check_history(records, cmp, pair_filter, false, true).monotonicity;
 }
 
 /// Unconditional per-process monotonicity.

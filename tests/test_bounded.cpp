@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <set>
+#include <sstream>
 #include <tuple>
 
 #include "core/bounded_longlived.hpp"
@@ -80,6 +81,41 @@ TEST(BoundedCompare, StrictPartialOrderOnWindowCoherentSets) {
     }
   }
   EXPECT_GT(triples_checked, 100);
+}
+
+// The % formula bounded_before used before its branch reduction, as the
+// reference: windowed cyclic dominance with ((b_i - a_i) % K + K) % K.
+bool modulo_before(const BoundedTimestamp& a, const BoundedTimestamp& b) {
+  if (a.modulus != b.modulus || a.comps.size() != b.comps.size()) return false;
+  const std::int32_t k = a.modulus;
+  if (k < 3 || a.comps.empty()) return false;
+  const std::int32_t w = core::bounded_window(k);
+  bool strict = false;
+  for (std::size_t i = 0; i < a.comps.size(); ++i) {
+    const std::int32_t diff = (((b.comps[i] - a.comps[i]) % k) + k) % k;
+    if (diff > w) return false;
+    if (diff >= 1) strict = true;
+  }
+  return strict;
+}
+
+TEST(BoundedCompare, BranchReductionEqualsModuloFormula) {
+  // Every pair of 2-component vectors with components in [-2K, 3K): labels
+  // proper ([0, K)) and components outside it, which take the % fallback.
+  for (std::int32_t k = 3; k <= 7; ++k) {
+    auto a = ts(k, {0, 0});
+    auto b = ts(k, {0, 0});
+    for (a.comps[0] = -2 * k; a.comps[0] < 3 * k; ++a.comps[0]) {
+      for (a.comps[1] = -2 * k; a.comps[1] < 3 * k; ++a.comps[1]) {
+        for (b.comps[0] = -2 * k; b.comps[0] < 3 * k; ++b.comps[0]) {
+          for (b.comps[1] = -2 * k; b.comps[1] < 3 * k; ++b.comps[1]) {
+            ASSERT_EQ(core::bounded_before(a, b), modulo_before(a, b))
+                << a.repr() << " vs " << b.repr();
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BoundedCompare, RecyclingWrapsForward) {
@@ -293,6 +329,16 @@ TEST(Bounded, ReprFormsAreInjectiveOnSmallUniverse) {
   }
   EXPECT_EQ(reprs.size(), 30u);
   EXPECT_EQ(ts(5, {1, 0, 4}).repr(), "<1 0 4>%5");
+  // The reprs are the text streaming the integers gives, extremes included.
+  for (const std::int32_t v : {0, 7, -3, 2147483647, -2147483647 - 1}) {
+    std::ostringstream label;
+    label << v << '#' << -v / 2;
+    EXPECT_EQ((core::BoundedLabel{v, -v / 2}.repr()), label.str());
+    std::ostringstream stamp;
+    stamp << '<' << v << ' ' << 1 << ">%" << v;
+    EXPECT_EQ(ts(v, {v, 1}).repr(), stamp.str());
+  }
+  EXPECT_EQ(ts(3, {}).repr(), "<>%3");
 }
 
 }  // namespace

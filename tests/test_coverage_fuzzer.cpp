@@ -1,21 +1,16 @@
 // The coverage-guided schedule fuzzer: unit tests for the op-pair coverage
-// map, plus the seeded-bug differential — a test-local bounded variant with a
-// planted label-recycling bug that fair schedules never trip, which the
-// fuzzer must find within a fixed budget. A same-budget seeded-random sweep
+// map, plus the seeded-bug differential — a bounded variant with a planted
+// label-recycling bug (planted_bugs.hpp) that fair schedules never trip,
+// which the fuzzer must find within a fixed budget. A same-budget seeded-random sweep
 // runs for comparison but carries no obligation to find it: that asymmetry
 // is the point of coverage guidance.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "api/harness.hpp"
-#include "runtime/coro.hpp"
-#include "runtime/history.hpp"
-#include "runtime/system.hpp"
+#include "planted_bugs.hpp"
 #include "verify/coverage.hpp"
 
 namespace {
@@ -67,100 +62,8 @@ TEST(CoverageMap, AddExecutionCountsFreshCrossProcessPairsOnly) {
   EXPECT_EQ(cov.add_execution({}), 0u);
 }
 
-// ---- the seeded bug -------------------------------------------------------
-//
-// A bounded-universe variant: labels live in Z_K (collect/max+1 over n label
-// registers), and when the label space is exhausted the caller recycles —
-// clears every label register and opens the next epoch by bumping register n.
-// Timestamps are epoch*K + label, compared as integers.
-//
-// The planted bug is in the recycling path: the epoch it writes is derived
-// from the value read at the START of the call. If two other wraps complete
-// between that read and the wrap write, the stale write REGRESSES the epoch
-// register, and a later call returns a timestamp at or below one that already
-// completed — a timestamp-property violation. Fair schedules (sequential,
-// round-robin) never stall a caller across two full wraps, so the bug is
-// invisible to them; only an adversarial stall between the epoch read and the
-// wrap write exposes it.
-
-constexpr std::int64_t kBuggyModulus = 4;
-
-using BuggySys = runtime::System<std::int64_t>;
-
-runtime::SubTask<std::int64_t> buggy_getts(
-    BuggySys::Ctx& ctx, int pid, int n, int call_index,
-    runtime::CallLog<std::int64_t>* log) {
-  const std::uint64_t invoked = ctx.stamp();
-  const std::int64_t e = co_await ctx.read(n);  // epoch, read once (the bug)
-  std::int64_t mx = 0;
-  for (int i = 0; i < n; ++i) {
-    mx = std::max(mx, co_await ctx.read(i));
-  }
-  std::int64_t label = mx + 1;
-  std::int64_t epoch = e;
-  if (label >= kBuggyModulus) {
-    // Recycle: clear the exhausted labels and open the next epoch. `e` is
-    // stale by now if other wraps completed since the call started — the
-    // write below can move the epoch register backwards.
-    label = 0;
-    epoch = e + 1;
-    for (int i = 0; i < n; ++i) co_await ctx.write(i, 0);
-    co_await ctx.write(n, epoch);
-  } else {
-    co_await ctx.write(pid, label);
-  }
-  const std::int64_t ts = epoch * kBuggyModulus + label;
-  if (log != nullptr) log->record({pid, call_index, ts, invoked, ctx.stamp()});
-  ctx.note_call_complete();
-  co_return ts;
-}
-
-runtime::ProcessTask buggy_program(BuggySys::Ctx& ctx, int pid, int n,
-                                   int num_calls,
-                                   runtime::CallLog<std::int64_t>* log) {
-  for (int k = 0; k < num_calls; ++k) {
-    co_await buggy_getts(ctx, pid, n, k, log);
-  }
-}
-
-api::TimestampFamily buggy_bounded_family() {
-  api::TimestampFamily fam;
-  fam.name = "buggy-bounded";
-  fam.summary = "test-local bounded variant with a stale-epoch recycling bug";
-  fam.paper_ref = "none (seeded bug for the fuzzer differential)";
-  fam.lifetime = api::Lifetime::kLongLived;
-  fam.universe = "epoch*K + label, compared as integers";
-  fam.max_calls_per_process = 0;
-  fam.registers_allocated = [](const api::ScenarioSpec& spec) {
-    return static_cast<std::int64_t>(spec.n) + 1;
-  };
-  fam.writes_full_allocation = true;
-  fam.make =
-      [](const api::ScenarioSpec& spec) -> std::unique_ptr<api::FamilyInstance> {
-    auto inst = std::make_unique<api::TypedFamilyInstance<
-        std::int64_t, std::int64_t, std::less<std::int64_t>>>();
-    std::vector<BuggySys::Program> programs;
-    for (int p = 0; p < spec.n; ++p) {
-      programs.push_back(
-          [p, n = spec.n, calls = spec.calls_per_process,
-           log = &inst->log()](BuggySys::Ctx& ctx) {
-            return buggy_program(ctx, p, n, calls, log);
-          });
-    }
-    inst->adopt(std::make_unique<BuggySys>(spec.n + 1, std::int64_t{0},
-                                           std::move(programs)));
-    return inst;
-  };
-  return fam;
-}
-
-api::ScenarioSpec buggy_spec() {
-  api::ScenarioSpec spec;
-  spec.n = 3;
-  spec.calls_per_process = 8;
-  spec.seed = 5;
-  return spec;
-}
+using planted::buggy_bounded_family;
+using planted::buggy_spec;
 
 constexpr std::uint64_t kFuzzSeed = 11;
 constexpr std::uint64_t kFuzzBudget = 64;

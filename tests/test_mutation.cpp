@@ -28,9 +28,8 @@
 //       a completed before b began. VIOLATION (mutant only).
 #include <gtest/gtest.h>
 
-#include "core/growing_oneshot.hpp"
 #include "core/sqrt_oneshot.hpp"
-#include "runtime/scheduler.hpp"
+#include "planted_bugs.hpp"
 #include "verify/hb_checker.hpp"
 
 namespace {
@@ -39,52 +38,10 @@ using namespace stamped;
 using core::PairTimestamp;
 using core::SqrtVariant;
 
-struct ScenarioResult {
-  std::vector<runtime::CallRecord<PairTimestamp>> records;
-  bool orchestration_ok = true;
-};
-
-// Runs a process solo until its (first) pending write targets register
-// `reg` (0-based). The write is not executed.
-bool pause_before_write_to(runtime::ISystem& sys, int pid, int reg) {
-  std::unordered_set<int> covered;
-  for (int r = 0; r < sys.num_registers(); ++r) {
-    if (r != reg) covered.insert(r);
-  }
-  return runtime::run_solo_until_poised_outside(sys, pid, covered, 100000);
-}
+using planted::ScenarioResult;
 
 ScenarioResult run_scenario(SqrtVariant variant) {
-  ScenarioResult out;
-  const int n = 8;
-  runtime::CallLog<PairTimestamp> log;
-  auto sys = core::make_sqrt_oneshot_system(
-      n, &log, nullptr, core::growing_pool_registers(n), variant);
-  auto complete = [&](int pid) {
-    // A preceding step() may have resumed the process through to completion
-    // (one-shot programs finish right after their last write).
-    if (sys->finished(pid)) return;
-    out.orchestration_ok &=
-        runtime::run_solo_until_calls_complete(*sys, pid, 1, 100000);
-  };
-
-  complete(0);                                     // phase 1: R1 written
-  complete(1);                                     // phase 2: R2 written
-  out.orchestration_ok &= pause_before_write_to(*sys, 2, 0);  // C stalls at R1
-  complete(3);                                     // D invalidates R1, (2,1)
-  out.orchestration_ok &= pause_before_write_to(*sys, 4, 2);  // p scanned, at R3
-  sys->step(2);                                    // C's stale write lands
-  complete(2);                                     // C returns (2,1)
-  out.orchestration_ok &= pause_before_write_to(*sys, 5, 2);  // q scanned, at R3
-  sys->step(4);                                    // p writes R3
-  complete(4);                                     // p returns (3,0)
-  complete(6);                                     // a — the key witness
-  sys->step(5);                                    // q's late R3 write
-  complete(5);                                     // q returns (3,0)
-  complete(7);                                     // b — the second witness
-  runtime::check_no_failures(*sys);
-  out.records = log.snapshot();
-  return out;
+  return planted::run_section61_interleaving(variant);
 }
 
 PairTimestamp ts_of(const ScenarioResult& r, int pid) {

@@ -172,6 +172,84 @@ TEST(Scheduler, RandomIsDeterministicPerSeed) {
   EXPECT_NE(run(42), run(43));
 }
 
+// The loop run_random replaced: rescan every process before every step.
+// Kept as the reference its schedules must equal.
+std::uint64_t scanning_run_random(runtime::ISystem& sys, util::Rng& rng,
+                                  std::uint64_t max_steps) {
+  std::uint64_t steps = 0;
+  const int n = sys.num_processes();
+  std::vector<int> live;
+  while (steps < max_steps) {
+    live.clear();
+    for (int p = 0; p < n; ++p) {
+      if (!sys.finished(p)) live.push_back(p);
+    }
+    if (live.empty()) break;
+    const int pid =
+        live[static_cast<std::size_t>(rng.next_below(live.size()))];
+    sys.step(pid);
+    ++steps;
+  }
+  return steps;
+}
+
+// `ops` alternating reads and writes, then one completed call; ops == 0
+// finishes before the first shared-memory op.
+ProcessTask ops_program(Ctx& ctx, int ops) {
+  for (int i = 0; i < ops; ++i) {
+    if (i % 2 == 0) {
+      (void)co_await ctx.read(i % 3);
+    } else {
+      co_await ctx.write(i % 3, ctx.pid() + i);
+    }
+  }
+  ctx.note_call_complete();
+}
+
+// Programs of uneven length; every third process does no op at all.
+std::unique_ptr<IntSys> make_uneven(int n) {
+  std::vector<IntSys::Program> programs;
+  for (int p = 0; p < n; ++p) {
+    const int ops = p % 3 == 1 ? 0 : 1 + (p * 7) % 11;
+    programs.push_back([ops](Ctx& c) { return ops_program(c, ops); });
+  }
+  return std::make_unique<IntSys>(3, std::int64_t{0}, std::move(programs));
+}
+
+TEST(Scheduler, RandomMatchesTheScanningReference) {
+  const std::uint64_t kAll = std::uint64_t{1} << 30;
+  for (const int n : {1, 2, 8, 64, 256}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 2718u}) {
+      for (const std::uint64_t max_steps : {std::uint64_t{0},
+                                            std::uint64_t{1},
+                                            std::uint64_t{37}, kAll}) {
+        auto fast = make_uneven(n);
+        auto ref = make_uneven(n);
+        util::Rng fast_rng(seed);
+        util::Rng ref_rng(seed);
+        const std::uint64_t fast_steps =
+            runtime::run_random(*fast, fast_rng, max_steps);
+        const std::uint64_t ref_steps =
+            scanning_run_random(*ref, ref_rng, max_steps);
+        const auto where = ::testing::Message()
+                           << "n=" << n << " seed=" << seed
+                           << " max_steps=" << max_steps;
+        EXPECT_EQ(fast_steps, ref_steps) << where;
+        EXPECT_EQ(fast->executed_schedule(), ref->executed_schedule())
+            << where;
+        // Both drew the same number of values from the stream.
+        EXPECT_EQ(fast_rng.next(), ref_rng.next()) << where;
+        if (max_steps == kAll) {
+          EXPECT_TRUE(fast->all_finished()) << where;
+        }
+        if (max_steps == 37 && n >= 64) {
+          EXPECT_EQ(fast_steps, 37u) << where;
+        }
+      }
+    }
+  }
+}
+
 TEST(Scheduler, SoloUntilCallsComplete) {
   auto sys = make_mini(2);
   EXPECT_TRUE(runtime::run_solo_until_calls_complete(*sys, 1, 1, 100));
